@@ -11,17 +11,24 @@
 //     numbers or booleans when unambiguous, else strings.
 //   - CBOR (RFC 8949) is implemented from scratch for the major types;
 //     maps with text keys become tuples, arrays become arrays.
+//
+// JSON encoding appends to a caller's buffer (AppendJSON). JSON has no
+// unordered collection, so a bag is written in the canonical
+// value.Compare order, sorted once by value order keys. Strings and
+// attribute names are escaped exactly as encoding/json escapes them, so
+// output is byte-identical to a json.Marshal-based encoder.
 package datafmt
 
 import (
-	"bytes"
+	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sqlpp/internal/value"
 )
@@ -154,102 +161,171 @@ func jsonNumber(n json.Number) value.Value {
 // as arrays (JSON has no unordered collection), in canonical order for
 // determinism.
 func EncodeJSON(w io.Writer, v value.Value) error {
-	var buf bytes.Buffer
-	if err := appendJSON(&buf, v); err != nil {
+	buf, err := AppendJSON(context.TODO(), nil, v)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(buf.Bytes())
+	_, err = w.Write(buf)
 	return err
 }
 
 // JSONString renders v as a JSON string.
 func JSONString(v value.Value) (string, error) {
-	var buf bytes.Buffer
-	if err := appendJSON(&buf, v); err != nil {
+	buf, err := AppendJSON(context.TODO(), nil, v)
+	if err != nil {
 		return "", err
 	}
-	return buf.String(), nil
+	return string(buf), nil
 }
 
-func appendJSON(buf *bytes.Buffer, v value.Value) error {
+// AppendJSON appends the JSON encoding of v (see EncodeJSON) to dst and
+// returns the extended slice. It polls ctx every pollEvery collection
+// elements it writes and every pollEvery elements of a bag it sorts, and
+// stops with ctx's error once ctx is done, so a deadline covers the
+// encode as well as the execution.
+func AppendJSON(ctx context.Context, dst []byte, v value.Value) ([]byte, error) {
+	e := jsonEncoder{ctx: ctx}
+	return e.append(dst, v)
+}
+
+// pollEvery is how many collection elements the encoder writes between
+// checks of its context.
+const pollEvery = 256
+
+type jsonEncoder struct {
+	ctx     context.Context
+	written int // collection elements written
+}
+
+func (e *jsonEncoder) append(dst []byte, v value.Value) ([]byte, error) {
 	switch x := v.(type) {
 	case value.Bool:
-		if x {
-			buf.WriteString("true")
-		} else {
-			buf.WriteString("false")
-		}
+		return strconv.AppendBool(dst, bool(x)), nil
 	case value.Int:
-		buf.WriteString(strconv.FormatInt(int64(x), 10))
+		return strconv.AppendInt(dst, int64(x), 10), nil
 	case value.Float:
 		f := float64(x)
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			buf.WriteString("null") // JSON cannot express them
-			return nil
+			return append(dst, "null"...), nil // JSON cannot express them
 		}
-		buf.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+		return strconv.AppendFloat(dst, f, 'g', -1, 64), nil
 	case value.String:
-		b, err := json.Marshal(string(x))
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
+		return AppendJSONString(dst, string(x)), nil
 	case value.Bytes:
 		// Bytes encode as a hex string, the closest JSON-safe mapping.
-		const hex = "0123456789abcdef"
-		buf.WriteByte('"')
-		for _, c := range x {
-			buf.WriteByte(hex[c>>4])
-			buf.WriteByte(hex[c&0xf])
-		}
-		buf.WriteByte('"')
+		dst = append(dst, '"')
+		dst = hex.AppendEncode(dst, x)
+		return append(dst, '"'), nil
 	case value.Array:
-		return appendJSONSeq(buf, x)
+		return e.appendSeq(dst, x)
 	case value.Bag:
+		if len(x) < 2 {
+			return e.appendSeq(dst, x)
+		}
 		sorted := make([]value.Value, len(x))
 		copy(sorted, x)
-		sort.SliceStable(sorted, func(i, j int) bool { return value.Compare(sorted[i], sorted[j]) < 0 })
-		return appendJSONSeq(buf, sorted)
+		if err := value.SortValuesContext(e.ctx, sorted); err != nil {
+			return dst, err
+		}
+		return e.appendSeq(dst, sorted)
 	case *value.Tuple:
-		buf.WriteByte('{')
+		dst = append(dst, '{')
 		for i, f := range x.Fields() {
 			if i > 0 {
-				buf.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b, err := json.Marshal(f.Name)
-			if err != nil {
-				return err
-			}
-			buf.Write(b)
-			buf.WriteByte(':')
-			if err := appendJSON(buf, f.Value); err != nil {
-				return err
+			dst = append(AppendJSONString(dst, f.Name), ':')
+			var err error
+			if dst, err = e.append(dst, f.Value); err != nil {
+				return dst, err
 			}
 		}
-		buf.WriteByte('}')
-	default:
-		switch v.Kind() {
-		case value.KindNull:
-			buf.WriteString("null")
-		case value.KindMissing:
-			return fmt.Errorf("datafmt: MISSING cannot be encoded as JSON")
-		default:
-			return fmt.Errorf("datafmt: cannot encode %s as JSON", v.Kind())
-		}
+		return append(dst, '}'), nil
 	}
-	return nil
+	switch v.Kind() {
+	case value.KindNull:
+		return append(dst, "null"...), nil
+	case value.KindMissing:
+		return dst, fmt.Errorf("datafmt: MISSING cannot be encoded as JSON")
+	}
+	return dst, fmt.Errorf("datafmt: cannot encode %s as JSON", v.Kind())
 }
 
-func appendJSONSeq(buf *bytes.Buffer, vs []value.Value) error {
-	buf.WriteByte('[')
+func (e *jsonEncoder) appendSeq(dst []byte, vs []value.Value) ([]byte, error) {
+	dst = append(dst, '[')
 	for i, v := range vs {
-		if i > 0 {
-			buf.WriteByte(',')
+		if e.written++; e.written%pollEvery == 0 {
+			if err := e.ctx.Err(); err != nil {
+				return dst, err
+			}
 		}
-		if err := appendJSON(buf, v); err != nil {
-			return err
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = e.append(dst, v); err != nil {
+			return dst, err
 		}
 	}
-	buf.WriteByte(']')
-	return nil
+	return append(dst, ']'), nil
 }
+
+// AppendJSONString appends s as a JSON string literal, byte for byte as
+// encoding/json writes it: '<', '>' and '&' are escaped, invalid UTF-8
+// becomes \ufffd, and U+2028 and U+2029 are escaped.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// jsonSafe marks the ASCII bytes a JSON string holds unescaped:
+// everything printable except '"', '\\' and the HTML-sensitive '<', '>'
+// and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = !strings.ContainsRune(`"\<>&`, b)
+	}
+	return safe
+}()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"sqlpp"
@@ -76,33 +77,131 @@ type queryOptions struct {
 	MaxBytes *int64 `json:"max_bytes,omitempty"`
 }
 
-// queryResponse is the body of a successful POST /v1/query.
+// queryResponse is the body of a successful POST /v1/query after its
+// leading "result" member, which holds the query result: raw JSON for
+// format "json", a JSON string holding the rendered text for
+// "sion"/"pretty". appendTail writes it.
 type queryResponse struct {
-	// Result is the query result: raw JSON for format "json", a JSON
-	// string holding the rendered text for "sion"/"pretty".
-	Result json.RawMessage `json:"result"`
 	// Cached reports whether the plan came from the cache.
-	Cached bool `json:"cached"`
-	// ElapsedUS is the server-side latency in microseconds.
-	ElapsedUS int64 `json:"elapsed_us"`
+	Cached bool
+	// ElapsedUS is the server-side latency in microseconds, from the
+	// handler's entry to the end of the result encode.
+	ElapsedUS int64
 	// Plan notes the physical optimizations applied to the query, one
 	// entry per rewrite that fired; absent when none did.
-	Plan []string `json:"plan,omitempty"`
+	Plan []string
 	// Stats is the EXPLAIN ANALYZE operator tree, present only when the
 	// request set "explain": "analyze".
-	Stats *sqlpp.OpStats `json:"stats,omitempty"`
+	Stats *sqlpp.OpStats
 	// Diagnostics are the static analyzer's findings, present only when
 	// the request set "vet": true.
-	Diagnostics []sqlpp.Diagnostic `json:"diagnostics,omitempty"`
+	Diagnostics []sqlpp.Diagnostic
 	// Class is the scatter class that ran in coordinator mode: local,
 	// group, topk, concat, or gather.
-	Class string `json:"class,omitempty"`
+	Class string
 	// Sharded names the sharded collection that drove a coordinator-mode
 	// scatter.
-	Sharded string `json:"sharded,omitempty"`
+	Sharded string
 	// MissingShards lists the shards absent from a partial-policy
 	// result, in shard order.
-	MissingShards []string `json:"missing_shards,omitempty"`
+	MissingShards []string
+}
+
+// appendTail appends the members after "result", the closing brace and
+// a newline, byte for byte as json.Encoder writes the whole envelope;
+// absent optional members are omitted.
+func (r *queryResponse) appendTail(dst []byte) ([]byte, error) {
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, r.Cached)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, r.ElapsedUS, 10)
+	dst = appendStrings(dst, `,"plan":`, r.Plan)
+	if r.Stats != nil {
+		b, err := json.Marshal(r.Stats)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"stats":`...), b...)
+	}
+	if len(r.Diagnostics) > 0 {
+		b, err := json.Marshal(r.Diagnostics)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"diagnostics":`...), b...)
+	}
+	if r.Class != "" {
+		dst = datafmt.AppendJSONString(append(dst, `,"class":`...), r.Class)
+	}
+	if r.Sharded != "" {
+		dst = datafmt.AppendJSONString(append(dst, `,"sharded":`...), r.Sharded)
+	}
+	dst = appendStrings(dst, `,"missing_shards":`, r.MissingShards)
+	return append(dst, "}\n"...), nil
+}
+
+// appendStrings appends member (`,"name":`) and ss as a JSON array,
+// nothing when ss is empty.
+func appendStrings(dst []byte, member string, ss []string) []byte {
+	if len(ss) == 0 {
+		return dst
+	}
+	dst = append(append(dst, member...), '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = datafmt.AppendJSONString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// responseBufs recycles response buffers across requests. Buffers above
+// maxPooledResponse are left to the collector so that one huge answer
+// does not pin its memory.
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResponse = 16 << 20
+
+// respond encodes result in format together with the envelope resp
+// into a pooled buffer, then writes it as a 200. The encode finishes
+// before any header is sent, so a result that cannot be encoded (a
+// MISSING) is a 422, and one whose encode ends past the request
+// deadline a 504. The JSON encode stops as soon as it sees the deadline;
+// a sion or pretty rendering runs to its end first. elapsed_us covers the handler up to the end of the encode; the
+// latency metrics, observed only for a written success, also cover the
+// write.
+func (s *Server) respond(ctx context.Context, w http.ResponseWriter, start time.Time, result value.Value, format string, resp *queryResponse) {
+	bp := responseBufs.Get().(*[]byte)
+	buf, err := appendResult(ctx, append((*bp)[:0], `{"result":`...), result, format)
+	if err == nil {
+		// The sion and pretty renderings do not poll ctx; any encode
+		// that ended past the deadline is a timeout all the same.
+		err = ctx.Err()
+	}
+	if err == nil {
+		resp.ElapsedUS = time.Since(start).Microseconds()
+		buf, err = resp.appendTail(buf)
+	}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.metrics.Timeouts.Add(1)
+		s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s while encoding its result: %v", time.Since(start).Round(time.Millisecond), err)
+	case err != nil:
+		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(buf) // the client went away; nothing left to tell it
+		s.metrics.Observe(time.Since(start))
+		if resp.Stats != nil {
+			s.metrics.ObserveOps(resp.Stats)
+		}
+	}
+	if cap(buf) <= maxPooledResponse {
+		*bp = buf[:0]
+		responseBufs.Put(bp)
+	}
 }
 
 type errorResponse struct {
@@ -137,6 +236,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // handleQuery runs one query: decode → admission gate → plan cache →
 // execute under deadline → encode.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	s.metrics.Requests.Add(1)
 
 	// A draining server refuses new queries outright; in-flight ones
@@ -249,7 +349,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Coordinator mode routes through the scatter-gather layer; its
 	// scatter-plan cache replaces the server's prepared-plan cache.
 	if s.coord != nil {
-		s.handleShardedQuery(ctx, w, req, opts, params, explain)
+		s.handleShardedQuery(ctx, w, start, req, opts, params, explain)
 		return
 	}
 
@@ -261,7 +361,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		engine = s.engine.WithOptions(opts)
 	}
 
-	start := time.Now()
 	// The explain marker is part of the cache key so instrumented and
 	// plain requests for the same text keep distinct hit/miss accounting
 	// even though the compiled plans are interchangeable.
@@ -310,11 +409,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		result, err = plan.Prepared.ExecContext(ctx)
 	}
-	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.metrics.Timeouts.Add(1)
-			s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s: %v", elapsed.Round(time.Millisecond), err)
+			s.fail(w, http.StatusGatewayTimeout, "query exceeded its deadline after %s: %v", time.Since(start).Round(time.Millisecond), err)
 			return
 		}
 		var re *sqlpp.ResourceError
@@ -344,26 +442,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "execute: %v", err)
 		return
 	}
-	s.metrics.Observe(elapsed)
-	if stats != nil {
-		s.metrics.ObserveOps(stats)
-	}
-
-	raw, err := encodeResult(result, req.Format)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
-		return
-	}
 	var notes []string
 	if plan.Params != nil {
 		notes = plan.Params.PlanNotes()
 	} else {
 		notes = plan.Prepared.PlanNotes()
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Result:      raw,
+	s.respond(ctx, w, start, result, req.Format, &queryResponse{
 		Cached:      cached,
-		ElapsedUS:   elapsed.Microseconds(),
 		Plan:        notes,
 		Stats:       stats,
 		Diagnostics: diags,
@@ -499,22 +585,18 @@ func jsonToValue(x any) (value.Value, error) {
 	return nil, fmt.Errorf("unsupported JSON value %T", x)
 }
 
-// encodeResult renders a query result in the requested format as a raw
-// JSON fragment for the response body.
-func encodeResult(v value.Value, format string) (json.RawMessage, error) {
+// appendResult appends a query result in the requested format as a JSON
+// fragment for the response body.
+func appendResult(ctx context.Context, dst []byte, v value.Value, format string) ([]byte, error) {
 	switch format {
 	case "", "json":
-		s, err := datafmt.JSONString(v)
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(s), nil
+		return datafmt.AppendJSON(ctx, dst, v)
 	case "sion":
-		return json.Marshal(v.String())
+		return datafmt.AppendJSONString(dst, v.String()), nil
 	case "pretty":
-		return json.Marshal(value.Pretty(v))
+		return datafmt.AppendJSONString(dst, value.Pretty(v)), nil
 	}
-	return nil, fmt.Errorf("unknown result format %q (want json, sion, or pretty)", format)
+	return dst, fmt.Errorf("unknown result format %q (want json, sion, or pretty)", format)
 }
 
 // handleIngest loads a request body into the catalog under the path's

@@ -23,7 +23,7 @@ func (s *Server) Coordinator() *shard.Coordinator { return s.coord }
 // routes through the scatter-gather coordinator instead of the local
 // plan cache, and the response carries the scatter class, the
 // missing-shards annotation, and the composite EXPLAIN ANALYZE tree.
-func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, req queryRequest, opts sqlpp.Options, params map[string]value.Value, explain bool) {
+func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, start time.Time, req queryRequest, opts sqlpp.Options, params map[string]value.Value, explain bool) {
 	if req.Vet {
 		s.fail(w, http.StatusBadRequest, "vet is not supported in coordinator mode")
 		return
@@ -34,7 +34,6 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 		return
 	}
 	eo := shard.OptionsFrom(opts)
-	start := time.Now()
 	res, err := s.coord.ExecRequest(ctx, shard.ExecRequest{
 		Query:     req.Query,
 		Params:    params,
@@ -42,23 +41,11 @@ func (s *Server) handleShardedQuery(ctx context.Context, w http.ResponseWriter, 
 		Explain:   explain,
 		OnFailure: &mode,
 	})
-	elapsed := time.Since(start)
 	if err != nil {
-		s.shardedError(w, err, elapsed)
+		s.shardedError(w, err, time.Since(start))
 		return
 	}
-	s.metrics.Observe(elapsed)
-	if res.Stats != nil {
-		s.metrics.ObserveOps(res.Stats)
-	}
-	raw, err := encodeResult(res.Value, req.Format)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "encode result: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Result:        raw,
-		ElapsedUS:     elapsed.Microseconds(),
+	s.respond(ctx, w, start, res.Value, req.Format, &queryResponse{
 		Plan:          res.Notes,
 		Stats:         res.Stats,
 		Sharded:       res.Sharded,

@@ -46,7 +46,7 @@ func Compare(a, b Value) int {
 	case KindArray:
 		return compareSeq([]Value(a.(Array)), []Value(b.(Array)))
 	case KindBag:
-		return compareSeq(sortedBag(a.(Bag)), sortedBag(b.(Bag)))
+		return bytes.Compare(AppendOrderKey(nil, a), AppendOrderKey(nil, b))
 	case KindTuple:
 		return compareTuple(a.(*Tuple), b.(*Tuple))
 	}
@@ -168,14 +168,6 @@ func compareSeq(a, b []Value) int {
 		}
 	}
 	return cmpInt(len(a), len(b))
-}
-
-// sortedBag returns the bag's elements in total order (a fresh slice).
-func sortedBag(b Bag) []Value {
-	s := make([]Value, len(b))
-	copy(s, b)
-	sort.SliceStable(s, func(i, j int) bool { return Compare(s[i], s[j]) < 0 })
-	return s
 }
 
 // compareTuple compares tuples by their (name, value) pairs sorted by

@@ -3,7 +3,6 @@ package value
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 )
 
 // AppendKey appends a canonical byte encoding of v to dst and returns the
@@ -91,9 +90,4 @@ func appendLen(dst []byte, n int) []byte {
 	var buf [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(buf[:], uint64(n))
 	return append(dst, buf[:k]...)
-}
-
-// SortValues sorts vs in place by the SQL++ total order.
-func SortValues(vs []Value) {
-	sort.SliceStable(vs, func(i, j int) bool { return Compare(vs[i], vs[j]) < 0 })
 }
