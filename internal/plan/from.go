@@ -17,8 +17,8 @@ import (
 // its materialization: unlike a streamed scan, a hoisted source is held
 // for the lifetime of the block, so its full size counts against the
 // governor's materialization budget.
-func hoistSource(ctx *eval.Context, outer *eval.Env, expr ast.Expr, srcC eval.CompiledExpr) (value.Value, error) {
-	src, err := evalMaybe(ctx, outer, expr, srcC)
+func hoistSource(ctx *eval.Context, outer *eval.Env, srcC eval.CompiledExpr) (value.Value, error) {
+	src, err := srcC(ctx, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -66,11 +66,7 @@ func produceItems(ctx *eval.Context, env *eval.Env, items []ast.FromItem, i int,
 func produceItem(ctx *eval.Context, env *eval.Env, item ast.FromItem, k emit) error {
 	if ctx.Stats != nil {
 		n := itemNode(ctx, item)
-		inner := k
-		k = func(child *eval.Env) error {
-			n.AddOut(1)
-			return inner(child)
-		}
+		k = countOut(n, k)
 		defer n.Timer()()
 	}
 	switch x := item.(type) {
@@ -82,6 +78,14 @@ func produceItem(ctx *eval.Context, env *eval.Env, item ast.FromItem, k emit) er
 		return produceJoin(ctx, env, x, k)
 	}
 	return fmt.Errorf("plan: unknown FROM item %T", item)
+}
+
+// countOut wraps k to count each binding it passes as a row out of n.
+func countOut(n *eval.StatsNode, k emit) emit {
+	return func(child *eval.Env) error {
+		n.AddOut(1)
+		return k(child)
+	}
 }
 
 // produceScan ranges a variable over a source value. SQL++ relaxes the
@@ -376,7 +380,7 @@ func (st *physState) produce(ctx *eval.Context, k emit) error {
 	if st.preFilter != nil {
 		st.preFilter.AddIn(1)
 	}
-	ok, err := filtersPass(ctx, st.outer, st.phys.pre, st.phys.preC)
+	ok, err := filtersPass(ctx, st.outer, st.phys.preC)
 	if err != nil || !ok {
 		return err
 	}
@@ -404,7 +408,7 @@ func (st *physState) run(ctx *eval.Context, env *eval.Env, i int, k emit) error 
 		if ss != nil && ss.filter != nil {
 			ss.filter.AddIn(1)
 		}
-		ok, err := filtersPass(ctx, child, step.filters, step.filtersC)
+		ok, err := filtersPass(ctx, child, step.filtersC)
 		if err != nil || !ok {
 			return err
 		}
@@ -429,43 +433,47 @@ func (st *physState) run(ctx *eval.Context, env *eval.Env, i int, k emit) error 
 			return st.runIndexScan(ctx, env, i, step, ix, next)
 		}
 	}
-	if st.phys.compiled {
-		if x, ok := step.item.(*ast.FromExpr); ok {
+	switch x := step.item.(type) {
+	case *ast.FromExpr:
+		if st.phys.compiled {
 			return st.runScanFused(ctx, env, i, x, step, ss, next)
 		}
-	}
-	if step.hoist {
-		// The hoisted paths bypass produceItem, so the step node's
-		// emitted-row count is recorded here.
-		emitNext := next
-		if ss != nil {
-			n := ss.node
-			inner := next
-			emitNext = func(child *eval.Env) error {
-				n.AddOut(1)
-				return inner(child)
-			}
-		}
-		switch x := step.item.(type) {
-		case *ast.FromExpr:
-			src, err := st.sources[i].get(func() (value.Value, error) {
-				return hoistSource(ctx, st.outer, x.Expr, step.srcC)
-			})
-			if err != nil {
-				return err
-			}
-			return scanValue(ctx, env, x, src, emitNext)
-		case *ast.FromUnpivot:
-			src, err := st.sources[i].get(func() (value.Value, error) {
-				return hoistSource(ctx, st.outer, x.Expr, step.srcC)
-			})
-			if err != nil {
-				return err
-			}
-			return unpivotValue(ctx, env, x, src, emitNext)
-		}
+		return st.runSource(ctx, env, i, step, ss, next)
+	case *ast.FromUnpivot:
+		return st.runSource(ctx, env, i, step, ss, next)
 	}
 	return produceItem(ctx, env, step.item, next)
+}
+
+// source evaluates step i's source through its closure in env, or, for a
+// hoisted step, reads the block's shared hoist cell, filled on first use.
+func (st *physState) source(ctx *eval.Context, env *eval.Env, i int, step *fromStep) (value.Value, error) {
+	if !step.hoist {
+		return step.srcC(ctx, env)
+	}
+	return st.sources[i].get(func() (value.Value, error) {
+		return hoistSource(ctx, st.outer, step.srcC)
+	})
+}
+
+// runSource is the row-at-a-time production of a scan or UNPIVOT step:
+// produceItem's accounting around scanValue or unpivotValue over the
+// step's source. Hoisted steps are untimed, like the fused scan's.
+func (st *physState) runSource(ctx *eval.Context, env *eval.Env, i int, step *fromStep, ss *stepStats, next emit) error {
+	if ss != nil {
+		if !step.hoist {
+			defer ss.node.Timer()()
+		}
+		next = countOut(ss.node, next)
+	}
+	src, err := st.source(ctx, env, i, step)
+	if err != nil {
+		return err
+	}
+	if x, ok := step.item.(*ast.FromUnpivot); ok {
+		return unpivotValue(ctx, env, x, src, next)
+	}
+	return scanValue(ctx, env, step.item.(*ast.FromExpr), src, next)
 }
 
 // scanBatch is the row-slice size of the fused compiled scan loop: the
@@ -475,30 +483,21 @@ func (st *physState) run(ctx *eval.Context, env *eval.Env, i int, k emit) error 
 const scanBatch = 256
 
 // runScanFused is the batched scan loop of the compiled pipeline,
-// replacing produceItem+scanValue (and the hoisted scanValue path) for
-// plain FromExpr steps. The source evaluates through its precompiled
-// closure (or the shared hoist cell); the element loop then binds,
-// filters (inside next), and recurses exactly like the row-at-a-time
-// path, but batch-at-a-time: one InterruptedN poll per batch and one
+// replacing runSource for plain FromExpr steps. The source evaluates
+// through st.source; the element loop then binds, filters (inside next),
+// and recurses exactly like the row-at-a-time path, but
+// batch-at-a-time: one InterruptedN poll per batch and one
 // stats true-up per batch with exact emitted counts. When phys.reuseEnv
 // holds, one child Env is allocated per invocation and rebound in place
 // per row instead of allocating per row. Observable row order, error
 // points, stats totals, and fault-injection sites are identical to the
-// interpreted path.
+// row-at-a-time path.
 //
 // governor: the fused loop materializes nothing — rows stream to next
 // and are charged at the pipeline's sinks (rowSink, groupState, hash
 // build), exactly as in the row-at-a-time path.
 func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *ast.FromExpr, step *fromStep, ss *stepStats, next emit) error {
-	var src value.Value
-	var err error
-	if step.hoist {
-		src, err = st.sources[i].get(func() (value.Value, error) {
-			return hoistSource(ctx, st.outer, x.Expr, step.srcC)
-		})
-	} else {
-		src, err = evalMaybe(ctx, env, x.Expr, step.srcC)
-	}
+	src, err := st.source(ctx, env, i, step)
 	if err != nil {
 		return err
 	}
@@ -521,15 +520,10 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 		if st.ord != nil {
 			st.ord[i] = 0
 		}
-		emitNext := next
 		if node != nil {
-			inner := next
-			emitNext = func(child *eval.Env) error {
-				node.AddOut(1)
-				return inner(child)
-			}
+			next = countOut(node, next)
 		}
-		return scanValue(ctx, env, x, src, emitNext)
+		return scanValue(ctx, env, x, src, next)
 	}
 
 	if node != nil {
@@ -586,29 +580,10 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 	return nil
 }
 
-// evalFilters evaluates pushed conjuncts; the binding survives only when
-// every conjunct is exactly TRUE, the same test WHERE applies.
-func evalFilters(ctx *eval.Context, env *eval.Env, filters []ast.Expr) (bool, error) {
+// filtersPass evaluates conjuncts; the binding survives only when every
+// conjunct is exactly TRUE, the same test WHERE applies.
+func filtersPass(ctx *eval.Context, env *eval.Env, filters []eval.CompiledExpr) (bool, error) {
 	for _, f := range filters {
-		cond, err := eval.Eval(ctx, env, f)
-		if err != nil {
-			return false, err
-		}
-		if !eval.IsTrue(cond) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// filtersPass is evalFilters through the compiled closures when the plan
-// carries them, the interpreter otherwise. compiled is nil exactly when
-// compilation was off for the block, so the nil test selects the path.
-func filtersPass(ctx *eval.Context, env *eval.Env, filters []ast.Expr, compiled []eval.CompiledExpr) (bool, error) {
-	if compiled == nil {
-		return evalFilters(ctx, env, filters)
-	}
-	for _, f := range compiled {
 		cond, err := f(ctx, env)
 		if err != nil {
 			return false, err
@@ -618,22 +593,6 @@ func filtersPass(ctx *eval.Context, env *eval.Env, filters []ast.Expr, compiled 
 		}
 	}
 	return true, nil
-}
-
-// evalMaybe evaluates e through its compiled form when available.
-func evalMaybe(ctx *eval.Context, env *eval.Env, e ast.Expr, c eval.CompiledExpr) (value.Value, error) {
-	if c != nil {
-		return c(ctx, env)
-	}
-	return eval.Eval(ctx, env, e)
-}
-
-// compiledAt indexes a compiled slice that may be nil (compilation off).
-func compiledAt(cs []eval.CompiledExpr, i int) eval.CompiledExpr {
-	if cs == nil {
-		return nil
-	}
-	return cs[i]
 }
 
 // groupState materializes GROUP BY groups (§V-B). Each input binding
@@ -653,17 +612,16 @@ type groupState struct {
 	// same keyed node, so rows-in sums across workers and groups-out is
 	// recorded once by the merged state's flush.
 	st *eval.StatsNode
-	// keysC are the compiled grouping-key expressions, set by the plan
-	// runner when the block was compiled; nil falls back to interpreting
-	// spec.Keys[i].Expr.
-	keysC []eval.CompiledExpr
+	// keys are the grouping-key closures, one per spec.Keys entry.
+	keys []eval.CompiledExpr
 }
 
-func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy) *groupState {
+func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
 	g := &groupState{
 		ctx:     ctx,
 		outer:   outer,
 		spec:    spec,
+		keys:    keys,
 		keyVals: map[string][]value.Value{},
 		content: map[string]value.Bag{},
 	}
@@ -688,10 +646,10 @@ func (g *groupState) add(env *eval.Env) error {
 	if g.st != nil {
 		g.st.AddIn(1)
 	}
-	keys := make([]value.Value, len(g.spec.Keys))
+	keys := make([]value.Value, len(g.keys))
 	var kb []byte
-	for i, key := range g.spec.Keys {
-		v, err := evalMaybe(g.ctx, env, key.Expr, compiledAt(g.keysC, i))
+	for i, key := range g.keys {
+		v, err := key(g.ctx, env)
 		if err != nil {
 			return err
 		}

@@ -57,8 +57,8 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashT
 			return err
 		}
 		kb = kb[:0]
-		for j, bk := range h.buildKeys {
-			v, err := evalMaybe(ctx, renv, bk, compiledAt(h.buildC, j))
+		for _, bk := range h.buildC {
+			v, err := bk(ctx, renv)
 			if err != nil {
 				return err
 			}
@@ -129,8 +129,8 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 		}
 		var kb []byte
 		absent := false
-		for j, pk := range h.probeKeys {
-			v, err := evalMaybe(ctx, lenv, pk, compiledAt(h.probeC, j))
+		for _, pk := range h.probeC {
+			v, err := pk(ctx, lenv)
 			if err != nil {
 				return err
 			}
@@ -156,7 +156,7 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 			for j, n := range row.names {
 				cand.Bind(n, row.vals[j])
 			}
-			ok, err := filtersPass(ctx, cand, h.verify, h.verifyC)
+			ok, err := filtersPass(ctx, cand, h.verifyC)
 			if err != nil {
 				return err
 			}

@@ -49,10 +49,12 @@ type OptOptions struct {
 	// Compat is the engine's SQL-compatibility bit; compiled expressions
 	// specialize on it, so it must match the execution Context.
 	Compat bool
-	// Compile lowers every per-row expression of each block to a closure
-	// (internal/eval/compile.go) stored alongside its AST in the
-	// physical plan; execution then runs the compiled pipeline. Off,
-	// everything evaluates through the tree-walking interpreter.
+	// Compile lowers every per-row expression of each block with
+	// eval.Compile (internal/eval/compile.go) and runs plain scans through
+	// the fused batch loop, which also reuses row environments and admits
+	// cost-based join reordering. Off, the same slots hold eval.Interpret
+	// closures over the tree-walking interpreter, scans produce row at a
+	// time into fresh environments, and joins run in written order.
 	Compile bool
 	// Funcs resolves function names at compile time; nil leaves calls on
 	// the interpreted path.
@@ -95,7 +97,7 @@ type indexAccess struct {
 	// estRows is the estimated probe result cardinality (-1 unknown),
 	// surfaced as est_rows on the EXPLAIN node.
 	estRows int64
-	// Compiled forms of eq/lo/hi; nil when compilation is off.
+	// Closures of eq/lo/hi, each nil exactly when its AST is.
 	eqC, loC, hiC eval.CompiledExpr
 }
 
@@ -114,9 +116,9 @@ type sfwPhys struct {
 	// parallel marks the outermost scan as eligible for partitioned
 	// execution.
 	parallel bool
-	// compiled marks the block as carrying closure-compiled forms of its
-	// per-row expressions (the *C fields below and on steps); execution
-	// prefers them over interpreting the AST.
+	// compiled marks the closures (the *C fields below and on steps, and
+	// clauses) as eval.Compile output rather than eval.Interpret; it
+	// selects the fused scan loop.
 	compiled bool
 	// reuseEnv permits the fused scan loop to reuse one child Env across
 	// the rows of a scan, rebinding in place. Safe only when nothing
@@ -134,16 +136,10 @@ type sfwPhys struct {
 	// means use the runtime default).
 	scanEst   int64
 	chunkHint int
-	// Compiled forms of pre/residual, LET sources, HAVING, the SELECT
-	// projection, ORDER BY keys, and GROUP BY keys. All nil when
-	// compilation is off.
-	preC      []eval.CompiledExpr
-	residualC []eval.CompiledExpr
-	letsC     []eval.CompiledExpr
-	havingC   eval.CompiledExpr
-	selectC   eval.CompiledExpr
-	orderC    []eval.CompiledExpr
-	groupC    []eval.CompiledExpr
+	// preC are the closures of pre; clauses those of residual (as
+	// clauses.where) and of the block's later clauses.
+	preC    []eval.CompiledExpr
+	clauses clauseExprs
 }
 
 // fromStep is the physical form of one top-level FROM item.
@@ -166,8 +162,8 @@ type fromStep struct {
 	// estSrc/estOut are the estimated source and post-filter row counts
 	// of this step (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estSrc, estOut int64
-	// Compiled forms of filters and of the item's source expression
-	// (FromExpr/FromUnpivot only); nil when compilation is off.
+	// Closures of filters and of the item's source expression
+	// (FromExpr/FromUnpivot only).
 	filtersC []eval.CompiledExpr
 	srcC     eval.CompiledExpr
 }
@@ -198,8 +194,7 @@ type hashJoinStep struct {
 	// estBuild/estOut are the estimated build-side and join-output row
 	// counts (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estBuild, estOut int64
-	// Compiled forms of probeKeys/buildKeys/verify; nil when compilation
-	// is off.
+	// Closures of probeKeys/buildKeys/verify.
 	probeC, buildC, verifyC []eval.CompiledExpr
 }
 
@@ -264,6 +259,10 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	// buffers bindings and restores written production order
 	// (reorder.go), and every predicate stays a verify filter, so
 	// results are byte-identical to the written plan.
+	// Reordering needs the compiled pipeline: the replay buffer sorts on
+	// per-step source ordinals, which only the fused scan, hash-join and
+	// index paths record; the row-at-a-time scan of an uncompiled plan
+	// does not.
 	var reorderNotes []string
 	if permissive && o.Compile && o.Stats != nil {
 		if ro := planJoinOrder(q, o, pool, late); ro != nil {
@@ -461,14 +460,8 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 		}
 	}
 
-	if o.Compile {
-		compileSFW(q, phys, eval.CompileOpts{Mode: o.Mode, Compat: o.Compat, Funcs: o.Funcs})
-	}
-	if phys.reorder != nil {
-		// The reorder buffer retains row environments until the chain
-		// finishes, so the fused scan must not rebind them in place.
-		phys.reuseEnv = false
-	}
+	compileSFW(q, phys, o)
+	phys.reuseEnv = phys.compiled && len(q.Windows) == 0 && phys.reorder == nil
 
 	var notes []string
 	pos := q.Pos()
@@ -505,56 +498,38 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 // compileSFW lowers every expression the physical pipeline evaluates per
 // row — source expressions, pushed and residual filters, join and index
 // keys, LET sources, HAVING, GROUP BY keys, the SELECT projection, and
-// ORDER BY keys — to eval closures, once, at plan time. The compiled
-// forms ride in the physical plan next to the AST they were lowered
-// from; every execution site falls back to interpreting the AST when
-// its compiled field is nil, so partially-compiled plans stay correct.
-func compileSFW(q *ast.SFW, phys *sfwPhys, co eval.CompileOpts) {
-	phys.compiled = true
-	phys.reuseEnv = len(q.Windows) == 0
-	phys.preC = eval.CompileAll(phys.pre, co)
-	phys.residualC = eval.CompileAll(phys.residual, co)
-	if len(q.Lets) > 0 {
-		phys.letsC = make([]eval.CompiledExpr, len(q.Lets))
-		for i, l := range q.Lets {
-			phys.letsC[i] = eval.Compile(l.Expr, co)
-		}
+// ORDER BY keys — to closures, once, at plan time: eval.Compile with
+// o.Compile, eval.Interpret without. Either way every slot next to a
+// non-nil AST is filled, so execution sites call their closure
+// unconditionally.
+func compileSFW(q *ast.SFW, phys *sfwPhys, o OptOptions) {
+	lower := eval.Interpret
+	if o.Compile {
+		co := eval.CompileOpts{Mode: o.Mode, Compat: o.Compat, Funcs: o.Funcs}
+		lower = func(e ast.Expr) eval.CompiledExpr { return eval.Compile(e, co) }
 	}
-	phys.havingC = eval.Compile(q.Having, co)
-	phys.selectC = eval.Compile(q.Select.Value, co)
-	if len(q.OrderBy) > 0 {
-		phys.orderC = make([]eval.CompiledExpr, len(q.OrderBy))
-		for i, ob := range q.OrderBy {
-			phys.orderC[i] = eval.Compile(ob.Expr, co)
-		}
-	}
-	if q.GroupBy != nil && len(q.GroupBy.Keys) > 0 {
-		phys.groupC = make([]eval.CompiledExpr, len(q.GroupBy.Keys))
-		for i, key := range q.GroupBy.Keys {
-			phys.groupC[i] = eval.Compile(key.Expr, co)
-		}
-	}
+	phys.compiled = o.Compile
+	phys.preC = lowerAll(phys.pre, lower)
+	phys.clauses = lowerClauses(q, phys.residual, lower)
 	for i := range phys.steps {
 		step := &phys.steps[i]
-		step.filtersC = eval.CompileAll(step.filters, co)
+		step.filtersC = lowerAll(step.filters, lower)
 		switch x := step.item.(type) {
 		case *ast.FromExpr:
-			step.srcC = eval.Compile(x.Expr, co)
+			step.srcC = lower(x.Expr)
 		case *ast.FromUnpivot:
-			step.srcC = eval.Compile(x.Expr, co)
+			step.srcC = lower(x.Expr)
 		}
 		if h := step.hash; h != nil {
-			h.probeC = eval.CompileAll(h.probeKeys, co)
-			h.buildC = eval.CompileAll(h.buildKeys, co)
-			h.verifyC = eval.CompileAll(h.verify, co)
+			h.probeC = lowerAll(h.probeKeys, lower)
+			h.buildC = lowerAll(h.buildKeys, lower)
+			h.verifyC = lowerAll(h.verify, lower)
 			if h.buildIdx != nil {
-				h.buildIdx.eqC = eval.Compile(h.buildIdx.eq, co)
+				h.buildIdx.eqC = lower(h.buildIdx.eq)
 			}
 		}
 		if ia := step.idx; ia != nil {
-			ia.eqC = eval.Compile(ia.eq, co)
-			ia.loC = eval.Compile(ia.lo, co)
-			ia.hiC = eval.Compile(ia.hi, co)
+			ia.eqC, ia.loC, ia.hiC = lower(ia.eq), lower(ia.lo), lower(ia.hi)
 		}
 	}
 }

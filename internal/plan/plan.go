@@ -109,25 +109,14 @@ type rowSink struct {
 	stDistinct *eval.StatsNode
 	stOrder    *eval.StatsNode
 	stLimit    *eval.StatsNode
-	// Compiled SELECT projection and ORDER BY keys, set via bindCompiled
-	// when the block was compiled; nil falls back to the interpreter.
-	selectC eval.CompiledExpr
-	orderC  []eval.CompiledExpr
+	// sel and order are the block's SELECT projection and ORDER BY key
+	// closures.
+	sel   eval.CompiledExpr
+	order []eval.CompiledExpr
 }
 
-// bindCompiled points the sink at the block's precompiled projection and
-// ORDER BY key closures. A nil or uncompiled phys leaves the sink on the
-// interpreted path.
-func (s *rowSink) bindCompiled(phys *sfwPhys) {
-	if phys == nil || !phys.compiled {
-		return
-	}
-	s.selectC = phys.selectC
-	s.orderC = phys.orderC
-}
-
-func newRowSink(ctx *eval.Context, q *ast.SFW, ordered bool, limit, offset int64) *rowSink {
-	s := &rowSink{ctx: ctx, q: q, ordered: ordered, stopAt: -1, gov: ctx.Gov}
+func newRowSink(ctx *eval.Context, q *ast.SFW, cx *clauseExprs, ordered bool, limit, offset int64) *rowSink {
+	s := &rowSink{ctx: ctx, q: q, ordered: ordered, stopAt: -1, gov: ctx.Gov, sel: cx.sel, order: cx.order}
 	if q.Select.Distinct {
 		s.seen = map[string]bool{}
 	}
@@ -162,7 +151,7 @@ func newRowSink(ctx *eval.Context, q *ast.SFW, ordered bool, limit, offset int64
 
 // project evaluates SELECT VALUE for one binding and folds the row in.
 func (s *rowSink) project(env *eval.Env) error {
-	v, err := evalMaybe(s.ctx, env, s.q.Select.Value, s.selectC)
+	v, err := s.sel(s.ctx, env)
 	if err != nil {
 		return err
 	}
@@ -209,9 +198,9 @@ func (s *rowSink) project(env *eval.Env) error {
 		if s.stOrder != nil {
 			s.stOrder.AddIn(1)
 		}
-		keys := make([]value.Value, len(s.q.OrderBy))
-		for i, o := range s.q.OrderBy {
-			kv, err := evalMaybe(s.ctx, env, o.Expr, compiledAt(s.orderC, i))
+		keys := make([]value.Value, len(s.order))
+		for i, o := range s.order {
+			kv, err := o(s.ctx, env)
 			if err != nil {
 				return err
 			}
@@ -293,14 +282,74 @@ func (s *rowSink) finish(limit, offset int64) value.Value {
 	return value.Bag(out)
 }
 
-// havingChain wraps inner with the HAVING filter.
-func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit {
-	if q.Having == nil {
-		return inner
+// clauseExprs are the per-row closures of a block's clauses after FROM:
+// the WHERE conjuncts evaluated in clause position, LET sources, GROUP
+// BY keys, HAVING, the SELECT projection, and ORDER BY keys. A planned
+// block carries them in its physical plan; a block without one (no FROM
+// items, or the optimizer disabled) interprets them, lowered once per
+// execution.
+type clauseExprs struct {
+	where, lets, group, order []eval.CompiledExpr
+	having, sel               eval.CompiledExpr
+}
+
+// lowerClauses lowers q's clause expressions with lower; where are the
+// WHERE conjuncts left to clause position.
+func lowerClauses(q *ast.SFW, where []ast.Expr, lower func(ast.Expr) eval.CompiledExpr) clauseExprs {
+	cx := clauseExprs{
+		where:  lowerAll(where, lower),
+		lets:   make([]eval.CompiledExpr, len(q.Lets)),
+		group:  groupKeys(q.GroupBy, lower),
+		order:  make([]eval.CompiledExpr, len(q.OrderBy)),
+		having: lower(q.Having),
+		sel:    lower(q.Select.Value),
 	}
-	var havingC eval.CompiledExpr
-	if phys != nil && phys.compiled {
-		havingC = phys.havingC
+	for i, l := range q.Lets {
+		cx.lets[i] = lower(l.Expr)
+	}
+	for i, o := range q.OrderBy {
+		cx.order[i] = lower(o.Expr)
+	}
+	return cx
+}
+
+// interpretClauses lowers the clauses of a block without a physical
+// plan, whose WHERE runs whole in clause position.
+func interpretClauses(q *ast.SFW) *clauseExprs {
+	var where []ast.Expr
+	if q.Where != nil {
+		where = []ast.Expr{q.Where}
+	}
+	cx := lowerClauses(q, where, eval.Interpret)
+	return &cx
+}
+
+// groupKeys lowers the GROUP BY key expressions of spec, nil for none.
+func groupKeys(spec *ast.GroupBy, lower func(ast.Expr) eval.CompiledExpr) []eval.CompiledExpr {
+	if spec == nil {
+		return nil
+	}
+	keys := make([]eval.CompiledExpr, len(spec.Keys))
+	for i, k := range spec.Keys {
+		keys[i] = lower(k.Expr)
+	}
+	return keys
+}
+
+// lowerAll lowers each of es with lower.
+func lowerAll(es []ast.Expr, lower func(ast.Expr) eval.CompiledExpr) []eval.CompiledExpr {
+	out := make([]eval.CompiledExpr, len(es))
+	for i, e := range es {
+		out[i] = lower(e)
+	}
+	return out
+}
+
+// havingChain wraps inner with the HAVING filter.
+func havingChain(ctx *eval.Context, q *ast.SFW, cx *clauseExprs, inner emit) emit {
+	having := cx.having
+	if having == nil {
+		return inner
 	}
 	var st *eval.StatsNode
 	if ctx.Stats != nil {
@@ -310,7 +359,7 @@ func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit 
 		if st != nil {
 			st.AddIn(1)
 		}
-		cond, err := evalMaybe(ctx, env, q.Having, havingC)
+		cond, err := having(ctx, env)
 		if err != nil {
 			return err
 		}
@@ -327,46 +376,22 @@ func havingChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, inner emit) emit 
 // preGroupChain wraps consume with the block's WHERE (or the optimizer's
 // residual conjuncts) and LET clauses, in pipeline order: LETs bind
 // first, then WHERE filters.
-func preGroupChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, consume emit) emit {
-	if phys != nil {
-		if len(phys.residual) > 0 {
-			inner := consume
-			residual := phys.residual
-			var st *eval.StatsNode
-			if ctx.Stats != nil {
-				st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", "residual")
-			}
-			residualC := phys.residualC
-			consume = func(env *eval.Env) error {
-				if st != nil {
-					st.AddIn(1)
-				}
-				ok, err := filtersPass(ctx, env, residual, residualC)
-				if err != nil || !ok {
-					return err
-				}
-				if st != nil {
-					st.AddOut(1)
-				}
-				return inner(env)
-			}
-		}
-	} else if q.Where != nil {
+func preGroupChain(ctx *eval.Context, q *ast.SFW, cx *clauseExprs, consume emit) emit {
+	if where := cx.where; len(where) > 0 {
 		inner := consume
 		var st *eval.StatsNode
 		if ctx.Stats != nil {
+			// A hit: buildBlockSkeleton created the node, labeled
+			// "residual" under a physical plan and "where" without one.
 			st = ctx.Stats.Node(statsParent(ctx), q, "where", "filter", "where")
 		}
 		consume = func(env *eval.Env) error {
 			if st != nil {
 				st.AddIn(1)
 			}
-			cond, err := eval.Eval(ctx, env, q.Where)
-			if err != nil {
+			ok, err := filtersPass(ctx, env, where)
+			if err != nil || !ok {
 				return err
-			}
-			if !eval.IsTrue(cond) {
-				return nil
 			}
 			if st != nil {
 				st.AddOut(1)
@@ -374,20 +399,16 @@ func preGroupChain(ctx *eval.Context, q *ast.SFW, phys *sfwPhys, consume emit) e
 			return inner(env)
 		}
 	}
-	if len(q.Lets) > 0 {
+	if lets := cx.lets; len(lets) > 0 {
 		inner := consume
-		lets := q.Lets
-		var letsC []eval.CompiledExpr
-		if phys != nil && phys.compiled {
-			letsC = phys.letsC
-		}
+		names := q.Lets
 		consume = func(env *eval.Env) error {
 			for i, l := range lets {
-				v, err := evalMaybe(ctx, env, l.Expr, compiledAt(letsC, i))
+				v, err := l(ctx, env)
 				if err != nil {
 					return err
 				}
-				env.Bind(l.Name, v)
+				env.Bind(names[i].Name, v)
 			}
 			return inner(env)
 		}
@@ -414,6 +435,12 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	}
 
 	phys, _ := q.Phys.(*sfwPhys)
+	var cx *clauseExprs
+	if phys != nil {
+		cx = &phys.clauses
+	} else {
+		cx = interpretClauses(q)
+	}
 
 	// EXPLAIN ANALYZE: create this block's node and pre-create its
 	// operator skeleton in pipeline order, then make the block the parent
@@ -437,8 +464,7 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 		}
 	}
 
-	sink := newRowSink(ctx, q, ordered, limit, offset)
-	sink.bindCompiled(phys)
+	sink := newRowSink(ctx, q, cx, ordered, limit, offset)
 
 	// Window functions force materialization of the post-group bindings:
 	// each partition must be complete before any row's value is known.
@@ -462,21 +488,18 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 
 	// postGroup runs HAVING and then projection (or window collection)
 	// for a group-output binding.
-	postGroup := havingChain(ctx, q, phys, postHaving)
+	postGroup := havingChain(ctx, q, cx, postHaving)
 
 	// The consumer of FROM/WHERE bindings.
 	var consume emit
 	var grouper *groupState
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy)
-		if phys != nil && phys.compiled {
-			grouper.keysC = phys.groupC
-		}
+		grouper = newGroupState(ctx, outer, q.GroupBy, cx.group)
 		consume = grouper.add
 	} else {
 		consume = postGroup
 	}
-	consume = preGroupChain(ctx, q, phys, consume)
+	consume = preGroupChain(ctx, q, cx, consume)
 
 	if phys != nil {
 		err = newPhysState(ctx, phys, outer).produce(ctx, consume)
@@ -727,7 +750,7 @@ func runPivot(ctx *eval.Context, outer *eval.Env, q *ast.PivotQuery) (value.Valu
 	var consume emit
 	var grouper *groupState
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy)
+		grouper = newGroupState(ctx, outer, q.GroupBy, groupKeys(q.GroupBy, eval.Interpret))
 		consume = grouper.add
 	} else {
 		consume = post

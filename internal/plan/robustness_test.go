@@ -22,6 +22,18 @@ import (
 // robustness tests.
 func execRobust(t *testing.T, data map[string]string, query string, parallelism int, ctx0 context.Context, lim eval.Limits) (value.Value, error) {
 	t.Helper()
+	run, err := prepareRobust(t, data, query, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx0, lim)
+}
+
+// prepareRobust registers data and plans query, returning a runner that
+// executes the plan under a cancellation context and governor limits, so
+// a test can start its clock after the setup.
+func prepareRobust(t *testing.T, data map[string]string, query string, parallelism int) (func(context.Context, eval.Limits) (value.Value, error), error) {
+	t.Helper()
 	cat := catalog.New()
 	for name, src := range data {
 		if err := cat.Register(name, sion.MustParse(src)); err != nil {
@@ -37,12 +49,14 @@ func execRobust(t *testing.T, data map[string]string, query string, parallelism 
 		return nil, err
 	}
 	Optimize(core, OptOptions{Mode: eval.Permissive})
-	ec := &eval.Context{Mode: eval.Permissive, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
-	if ctx0 != nil && ctx0.Done() != nil {
-		ec.Ctx = ctx0
-	}
-	ec.Gov = eval.NewGovernor(lim)
-	return Run(ec, eval.NewEnv(), core)
+	return func(ctx0 context.Context, lim eval.Limits) (value.Value, error) {
+		ec := &eval.Context{Mode: eval.Permissive, Names: cat, Funcs: registry, Run: Run, Parallelism: parallelism}
+		if ctx0 != nil && ctx0.Done() != nil {
+			ec.Ctx = ctx0
+		}
+		ec.Gov = eval.NewGovernor(lim)
+		return Run(ec, eval.NewEnv(), core)
+	}, nil
 }
 
 // rowsSION builds a bag of n {'id': i, 'k': i % mod} tuples.
@@ -94,18 +108,23 @@ func TestWorkerPanicContained(t *testing.T) {
 // TestDeadlineDuringHashBuild: a deadline that fires while the hash
 // join is building over a 100k-row side must stop the build promptly —
 // the blocking build loop polls cancellation itself (it produces no
-// output rows, so the output-path polls never run).
+// output rows, so the output-path polls never run). The catalog and plan
+// are built before the deadline and the clock start, so the deadline
+// lands in the build rather than in loading the data.
 func TestDeadlineDuringHashBuild(t *testing.T) {
 	data := map[string]string{
 		"small": rowsSION(8, 8),
 		"big":   rowsSION(100_000, 1000),
 	}
+	run, err := prepareRobust(t, data,
+		`SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := execRobust(t, data,
-		`SELECT s.id AS sid, b.id AS bid FROM small AS s, big AS b WHERE s.k = b.k`,
-		1, ctx, eval.Limits{})
+	_, err = run(ctx, eval.Limits{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)

@@ -66,9 +66,10 @@ type Options struct {
 	Parallelism int
 	// NoCompile disables the closure-compilation pass: expressions the
 	// optimizer would lower to prepared closures evaluate through the
-	// tree-walking interpreter instead, and fused batch scans revert to
-	// row-at-a-time production. Results are identical; the option exists
-	// for debugging and A/B measurement (see BENCH_vector.json).
+	// tree-walking interpreter instead, fused batch scans revert to
+	// row-at-a-time production, and cost-based join reordering is off.
+	// Results are identical; the option exists for debugging and A/B
+	// measurement (see BENCH_vector.json).
 	NoCompile bool
 	// NoStats disables statistics-driven cost-based planning (join
 	// reordering, index-vs-scan vetoes, parallel sizing, est_rows
