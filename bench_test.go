@@ -481,3 +481,35 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// streamedAggQueries are the grouped-aggregate shapes whose GROUP BY
+// folds aggregates as rows arrive: a plain grouped aggregate and a
+// JOIN ... ON join-group, as the analytic-shard data nodes run them.
+var streamedAggQueries = []struct{ name, query string }{
+	{"group", "SELECT x.deptno AS deptno, COUNT(*) AS n, SUM(x.salary) AS total, AVG(x.salary) AS mean, MAX(x.salary) AS top FROM flat AS x GROUP BY x.deptno AS deptno"},
+	{"join-group", "SELECT d.name AS dept, COUNT(*) AS n, AVG(x.salary) AS mean FROM flat AS x JOIN dept AS d ON x.deptno = d.dno WHERE x.salary >= 80000 GROUP BY d.name AS dept"},
+}
+
+// streamedAggDB registers rows flat employees over depts departments,
+// executing sequentially so allocations count one pipeline.
+func streamedAggDB(tb testing.TB, rows, depts int) *sqlpp.Engine {
+	tb.Helper()
+	db := sqlpp.New(&sqlpp.Options{Parallelism: 1})
+	if err := db.Register("flat", bench.FlatEmp(rows, depts, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Register("dept", bench.Departments(depts, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkStreamedAggregate measures the streamed GROUP BY over 10k
+// rows and 20 groups; allocations per op scale with the groups.
+func BenchmarkStreamedAggregate(b *testing.B) {
+	db := streamedAggDB(b, 10000, 20)
+	for _, q := range streamedAggQueries {
+		q := q
+		b.Run(q.name, func(b *testing.B) { benchQuery(b, db, q.query) })
+	}
+}

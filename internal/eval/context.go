@@ -302,16 +302,24 @@ func (e *Env) RechainBelow(stop *Env, order []int) *Env {
 // (Listing 14). Inner bindings shadow outer ones of the same name;
 // within the tuple, outermost bindings come first.
 func (e *Env) SnapshotBelow(stop *Env) *value.Tuple {
-	var scopes []*Env
-	for s := e; s != nil && s != stop; s = s.parent {
-		scopes = append(scopes, s)
-	}
 	t := value.EmptyTuple()
-	for i := len(scopes) - 1; i >= 0; i-- {
-		s := scopes[i]
-		for j, n := range s.names {
-			t.Set(n, s.vals[j])
-		}
-	}
+	e.SnapshotBelowInto(stop, t)
 	return t
+}
+
+// SnapshotBelowInto is SnapshotBelow into t, which it resets first, so
+// a caller can rebuild one tuple per row without allocating.
+func (e *Env) SnapshotBelowInto(stop *Env, t *value.Tuple) {
+	t.Reset()
+	e.snapshotInto(stop, t)
+}
+
+func (e *Env) snapshotInto(stop *Env, t *value.Tuple) {
+	if e == nil || e == stop {
+		return
+	}
+	e.parent.snapshotInto(stop, t)
+	for j, n := range e.names {
+		t.Set(n, e.vals[j])
+	}
 }

@@ -117,12 +117,30 @@ func NewGovernor(lim Limits) *Governor {
 // the approximate size of v (which may be nil for row-count-only
 // charges).
 func (g *Governor) ChargeOutput(site string, n int64, v value.Value) error {
+	if err := g.chargeRows(site, n); err != nil {
+		return err
+	}
+	return g.chargeBytes(site, v)
+}
+
+// ChargeOutputSize charges one output row whose approximate size is
+// already known: a streamed GROUP BY replays, when an aggregate is read,
+// the row charges its materialized subquery would have made.
+func (g *Governor) ChargeOutputSize(site string, size int64) error {
+	if err := g.chargeRows(site, 1); err != nil {
+		return err
+	}
+	return g.chargeSize(site, size)
+}
+
+// chargeRows accrues n output rows against the row budget, if any.
+func (g *Governor) chargeRows(site string, n int64) error {
 	if g.lim.MaxOutputRows > 0 {
 		if got := g.rows.Add(n); got > g.lim.MaxOutputRows {
 			return &ResourceError{Kind: ResourceRows, Site: site, Limit: g.lim.MaxOutputRows, Observed: got}
 		}
 	}
-	return g.chargeBytes(site, v)
+	return nil
 }
 
 // ChargeValues charges n materialized intermediate values plus, when a
@@ -165,7 +183,15 @@ func (g *Governor) chargeBytes(site string, v value.Value) error {
 	if g.lim.MaxMaterializedBytes <= 0 || v == nil {
 		return nil
 	}
-	if got := g.bytes.Add(value.ApproxSize(v)); got > g.lim.MaxMaterializedBytes {
+	return g.chargeSize(site, value.ApproxSize(v))
+}
+
+// chargeSize accrues size bytes against the byte budget, if any.
+func (g *Governor) chargeSize(site string, size int64) error {
+	if g.lim.MaxMaterializedBytes <= 0 {
+		return nil
+	}
+	if got := g.bytes.Add(size); got > g.lim.MaxMaterializedBytes {
 		return &ResourceError{Kind: ResourceBytes, Site: site, Limit: g.lim.MaxMaterializedBytes, Observed: got}
 	}
 	return nil

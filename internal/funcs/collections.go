@@ -88,6 +88,29 @@ func (r *Registry) registerCollections() {
 	}))
 }
 
+// foldFunc is the COLL_* function of the named fold: absent collection
+// arguments propagate, a Folded argument yields its result, and any
+// other collection's elements are folded in order.
+func foldFunc(op string) eval.Func {
+	return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
+		if f, ok := args[0].(Folded); ok {
+			return f.FoldedResult()
+		}
+		if v, done := propagateAbsent(ctx, args); done {
+			return v, nil
+		}
+		elems, err := aggInput(op, args)
+		if err != nil {
+			return nil, err
+		}
+		f, _ := NewFold(op)
+		for _, e := range elems {
+			f.Add(e)
+		}
+		return f.Result()
+	}
+}
+
 func distinct(elems []value.Value) []value.Value {
 	seen := make(map[string]bool, len(elems))
 	out := make([]value.Value, 0, len(elems))
@@ -126,101 +149,11 @@ func unwrapAggElem(e value.Value) value.Value {
 func (r *Registry) registerAggregates() {
 	// COLL_COUNT counts the non-absent elements of a collection. The SQL
 	// COUNT(*) rewrite passes the GROUP AS collection, whose elements
-	// are never absent, so it yields the group size.
-	r.Register("COLL_COUNT", 1, 1, func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-		if v, done := propagateAbsent(ctx, args); done {
-			return v, nil
-		}
-		elems, err := aggInput("COLL_COUNT", args)
-		if err != nil {
-			return nil, err
-		}
-		n := int64(0)
-		for _, e := range elems {
-			if !value.IsAbsent(e) {
-				n++
-			}
-		}
-		return value.Int(n), nil
-	})
-
-	sum := func(op string, avg bool) eval.Func {
-		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-			if v, done := propagateAbsent(ctx, args); done {
-				return v, nil
-			}
-			elems, err := aggInput(op, args)
-			if err != nil {
-				return nil, err
-			}
-			var sumI int64
-			var sumF float64
-			isFloat := false
-			n := 0
-			for _, e := range elems {
-				e = unwrapAggElem(e)
-				if value.IsAbsent(e) {
-					continue // SQL aggregates ignore absent inputs
-				}
-				switch x := e.(type) {
-				case value.Int:
-					sumI += int64(x)
-					sumF += float64(x)
-				case value.Float:
-					isFloat = true
-					sumF += float64(x)
-				default:
-					return nil, typeErr(op, "element is "+e.Kind().String())
-				}
-				n++
-			}
-			if n == 0 {
-				return value.Null, nil // SQL: aggregate of empty input is NULL
-			}
-			if avg {
-				return value.Float(sumF / float64(n)), nil
-			}
-			if isFloat {
-				return value.Float(sumF), nil
-			}
-			return value.Int(sumI), nil
-		}
+	// are never absent, so it yields the group size. COLL_SUM, COLL_AVG,
+	// COLL_MIN and COLL_MAX are the other folds (fold.go).
+	for _, op := range []string{"COLL_COUNT", "COLL_SUM", "COLL_AVG", "COLL_MIN", "COLL_MAX"} {
+		r.Register(op, 1, 1, foldFunc(op))
 	}
-	r.Register("COLL_SUM", 1, 1, sum("COLL_SUM", false))
-	r.Register("COLL_AVG", 1, 1, sum("COLL_AVG", true))
-
-	extreme := func(op string, wantMax bool) eval.Func {
-		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {
-			if v, done := propagateAbsent(ctx, args); done {
-				return v, nil
-			}
-			elems, err := aggInput(op, args)
-			if err != nil {
-				return nil, err
-			}
-			var best value.Value
-			for _, e := range elems {
-				e = unwrapAggElem(e)
-				if value.IsAbsent(e) {
-					continue
-				}
-				if best == nil {
-					best = e
-					continue
-				}
-				c := value.Compare(e, best)
-				if (wantMax && c > 0) || (!wantMax && c < 0) {
-					best = e
-				}
-			}
-			if best == nil {
-				return value.Null, nil
-			}
-			return best, nil
-		}
-	}
-	r.Register("COLL_MIN", 1, 1, extreme("COLL_MIN", false))
-	r.Register("COLL_MAX", 1, 1, extreme("COLL_MAX", true))
 
 	quant := func(op string, every bool) eval.Func {
 		return func(ctx *eval.Context, args []value.Value) (value.Value, error) {

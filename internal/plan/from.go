@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -291,6 +290,8 @@ type stepStats struct {
 	// index-probe hot counters (nil unless the step probes an index).
 	probes *atomic.Int64
 	hits   *atomic.Int64
+	// left is a hash join's plain-scan probe side (nil otherwise).
+	left *eval.StatsNode
 }
 
 func newPhysState(ctx *eval.Context, phys *sfwPhys, outer *eval.Env) *physState {
@@ -326,6 +327,9 @@ func newPhysState(ctx *eval.Context, phys *sfwPhys, outer *eval.Env) *physState 
 				}
 				if step.hash.estOut >= 0 {
 					ss.node.Counter("est_rows").Store(step.hash.estOut)
+				}
+				if _, ok := step.hash.left.(*ast.FromExpr); ok {
+					ss.left = itemNode(ctx, step.hash.left)
 				}
 			} else if step.idx != nil {
 				ss.node = indexNode(ctx, parent, step)
@@ -511,14 +515,25 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 			defer node.Timer()()
 		}
 	}
+	var ord *int64
+	if st.ord != nil {
+		ord = &st.ord[i]
+	}
+	return st.scanFused(ctx, env, x, src, node, ord, next)
+}
 
+// scanFused is runScanFused's loop over an evaluated source: node is the
+// scan's stats node (nil when uninstrumented) and ord, when non-nil,
+// receives each binding's source ordinal for the reorder buffer. A hash
+// join's plain-scan probe side runs through it too.
+func (st *physState) scanFused(ctx *eval.Context, env *eval.Env, x *ast.FromExpr, src value.Value, node *eval.StatsNode, ord *int64, next emit) error {
 	elems, isColl := value.Elements(src)
 	if !isColl {
 		// Non-collection sources (singleton bindings, MISSING, strict
 		// faults) keep the row-at-a-time edge semantics of scanValue,
 		// wrapped with produceItem's emitted-row accounting.
-		if st.ord != nil {
-			st.ord[i] = 0
+		if ord != nil {
+			*ord = 0
 		}
 		if node != nil {
 			next = countOut(node, next)
@@ -553,8 +568,8 @@ func (st *physState) runScanFused(ctx *eval.Context, env *eval.Env, i int, x *as
 			if child == nil || !reuse {
 				child = env.Child()
 			}
-			if st.ord != nil {
-				st.ord[i] = int64(j)
+			if ord != nil {
+				*ord = int64(j)
 			}
 			child.Bind(x.As, elems[j])
 			if x.AtVar != "" {
@@ -595,18 +610,19 @@ func filtersPass(ctx *eval.Context, env *eval.Env, filters []eval.CompiledExpr) 
 	return true, nil
 }
 
-// groupState materializes GROUP BY groups (§V-B). Each input binding
-// contributes its block variables as one content tuple; groups key on
-// the canonical encoding of their key values, so NULL and MISSING each
-// group on their own (coalesced in SQL compatibility mode), and 1
-// groups with 1.0.
+// groupState gathers GROUP BY groups (§V-B). Groups key on the canonical
+// encoding of their key values, so NULL and MISSING each group on their
+// own (coalesced in SQL compatibility mode), and 1 groups with 1.0.
+// Without a fold plan each input binding contributes its block variables
+// as one content tuple of its group, the GROUP AS collection; with one
+// (fold.go), each binding is folded into its group's aggregates instead.
 type groupState struct {
-	ctx     *eval.Context
-	outer   *eval.Env
-	spec    *ast.GroupBy
-	order   []string // insertion order of group keys
-	keyVals map[string][]value.Value
-	content map[string]value.Bag
+	ctx    *eval.Context
+	outer  *eval.Env
+	spec   *ast.GroupBy
+	fold   *foldPlan
+	index  map[string]int // canonical key encoding -> position in groups
+	groups []group
 	// st is the EXPLAIN ANALYZE node, nil when instrumentation is off.
 	// Parallel workers each hold their own groupState but resolve the
 	// same keyed node, so rows-in sums across workers and groups-out is
@@ -614,28 +630,84 @@ type groupState struct {
 	st *eval.StatsNode
 	// keys are the grouping-key closures, one per spec.Keys entry.
 	keys []eval.CompiledExpr
+	// kb and kv are the per-row key encoding and key values, reused
+	// across rows; only a new group copies them.
+	kb []byte
+	kv []value.Value
+	// snap is the reused snapshot tuple folded arguments navigate, bound
+	// to each slot's element variable in elems.
+	snap  *value.Tuple
+	elems []*eval.Env
+	// keep makes SUM/AVG accumulators retain their values for an
+	// order-preserving merge: set in the parallel workers after the
+	// first, whose groups merge after an earlier chunk's.
+	keep bool
 }
 
-func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr) *groupState {
+// group is one group: its key values, its size, and either its content
+// (materialized) or its aggregates' accumulators (folded). A folded
+// group is bound as its GROUP AS variable, where only the folded
+// aggregates read it: COLL_COUNT of it is its size.
+type group struct {
+	key  string
+	keys []value.Value
+	n    int64
+	rows value.Bag
+	accs []aggAcc
+}
+
+// Kind reports the kind of the GROUP AS collection the group stands for.
+func (*group) Kind() value.Kind { return value.KindBag }
+
+// String names the group in diagnostics.
+func (*group) String() string { return "<folded group>" }
+
+// FoldedResult implements funcs.Folded: COLL_COUNT of the group's rows.
+func (g *group) FoldedResult() (value.Value, error) { return value.Int(g.n), nil }
+
+func newGroupState(ctx *eval.Context, outer *eval.Env, spec *ast.GroupBy, keys []eval.CompiledExpr, fold *foldPlan) *groupState {
 	g := &groupState{
-		ctx:     ctx,
-		outer:   outer,
-		spec:    spec,
-		keys:    keys,
-		keyVals: map[string][]value.Value{},
-		content: map[string]value.Bag{},
+		ctx:   ctx,
+		outer: outer,
+		spec:  spec,
+		fold:  fold,
+		keys:  keys,
+		index: map[string]int{},
+		kv:    make([]value.Value, len(keys)),
 	}
 	if ctx.Stats != nil {
 		g.st = ctx.Stats.Node(statsParent(ctx), spec, "group", "group-by", "")
 	}
+	if fold != nil {
+		g.snap = value.EmptyTuple()
+		// One scope per slot: an argument may name another slot's element
+		// variable, which must then resolve outside the group.
+		g.elems = make([]*eval.Env, len(fold.slots))
+		for i, s := range fold.slots {
+			g.elems[i] = outer.Child()
+			g.elems[i].Bind(s.elem, g.snap)
+		}
+	}
 	// The implicit single group of aggregate-only queries exists even
 	// for empty input (SELECT AVG(x) over nothing yields one NULL row).
 	if len(spec.Keys) == 0 {
-		g.order = append(g.order, "")
-		g.keyVals[""] = nil
-		g.content[""] = nil
+		g.newGroup("", nil)
 	}
 	return g
+}
+
+// newGroup appends an empty group and returns it.
+func (g *groupState) newGroup(key string, keys []value.Value) *group {
+	g.index[key] = len(g.groups)
+	g.groups = append(g.groups, group{key: key, keys: keys})
+	grp := &g.groups[len(g.groups)-1]
+	if g.fold != nil {
+		grp.accs = make([]aggAcc, len(g.fold.slots))
+		for i := range grp.accs {
+			grp.accs[i].fold = g.fold.slots[i].fold
+		}
+	}
+	return grp
 }
 
 // add folds one binding environment into its group.
@@ -646,14 +718,13 @@ func (g *groupState) add(env *eval.Env) error {
 	if g.st != nil {
 		g.st.AddIn(1)
 	}
-	keys := make([]value.Value, len(g.keys))
-	var kb []byte
+	g.kb = g.kb[:0]
 	for i, key := range g.keys {
 		v, err := key(g.ctx, env)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		g.kv[i] = v
 		// SQL compatibility mode must not let a query distinguish null
 		// from missing (§IV-B): a missing grouping key joins the NULL
 		// group instead of forming its own. Only the encoding coalesces;
@@ -663,23 +734,53 @@ func (g *groupState) add(env *eval.Env) error {
 		if g.ctx.Compat && v.Kind() == value.KindMissing {
 			v = value.Null
 		}
-		kb = value.AppendKey(kb, v)
+		g.kb = value.AppendKey(g.kb, v)
 	}
-	ks := string(kb)
-	if have, ok := g.keyVals[ks]; !ok {
-		g.order = append(g.order, ks)
-		g.keyVals[ks] = keys
-	} else if g.ctx.Compat {
-		mergeCompatKeys(have, keys)
+	var grp *group
+	if i, ok := g.index[string(g.kb)]; ok {
+		grp = &g.groups[i]
+		if g.ctx.Compat {
+			mergeCompatKeys(grp.keys, g.kv)
+		}
+	} else {
+		grp = g.newGroup(string(g.kb), append([]value.Value(nil), g.kv...))
 	}
-	snap := env.SnapshotBelow(g.outer)
-	g.content[ks] = append(g.content[ks], snap)
+	grp.n++
+	if g.fold == nil {
+		snap := env.SnapshotBelow(g.outer)
+		grp.rows = append(grp.rows, snap)
+		if g.ctx.Gov != nil {
+			if err := g.ctx.Gov.ChargeValues("group-by", 1, snap); err != nil {
+				return err
+			}
+		}
+		return checkSize(g.ctx, int(grp.n))
+	}
+	// A folded row still owes the governor the snapshot it does not keep.
+	if len(g.elems) > 0 || g.ctx.Gov != nil {
+		env.SnapshotBelowInto(g.outer, g.snap)
+	}
 	if g.ctx.Gov != nil {
-		if err := g.ctx.Gov.ChargeValues("group-by", 1, snap); err != nil {
+		if err := g.ctx.Gov.ChargeValues("group-by", 1, g.snap); err != nil {
 			return err
 		}
 	}
-	return checkSize(g.ctx, len(g.content[ks]))
+	if err := checkSize(g.ctx, int(grp.n)); err != nil {
+		return err
+	}
+	for i := range grp.accs {
+		acc := &grp.accs[i]
+		if acc.argErr != nil {
+			continue
+		}
+		v, err := g.fold.slots[i].arg(g.ctx, g.elems[i])
+		if err != nil {
+			acc.argErr = err
+			continue
+		}
+		acc.add(v, g.ctx.Gov, g.keep && acc.fold.OrderSensitive())
+	}
+	return nil
 }
 
 // mergeCompatKeys upgrades MISSING representatives to NULL when another
@@ -695,26 +796,26 @@ func mergeCompatKeys(have, incoming []value.Value) {
 }
 
 // flush emits one binding per group: the key aliases plus the GROUP AS
-// collection (Listing 14's p/g bindings).
+// variable, bound to the group's content (Listing 14's p/g bindings) or,
+// folded, to the group itself.
 func (g *groupState) flush(k emit) error {
-	for _, ks := range g.order {
+	for i := range g.groups {
+		grp := &g.groups[i]
 		if g.st != nil {
 			g.st.AddOut(1)
 		}
 		env := g.outer.Child()
-		for i, key := range g.spec.Keys {
-			alias := key.Alias
-			if alias == "" {
-				alias = "$k" + strconv.Itoa(i+1)
-			}
-			env.Bind(alias, g.keyVals[ks][i])
+		for j, key := range g.spec.Keys {
+			env.Bind(groupKeyAlias(key, j), grp.keys[j])
 		}
 		if g.spec.GroupAs != "" {
-			bag := g.content[ks]
-			if bag == nil {
-				bag = value.Bag{}
+			if g.fold != nil {
+				env.Bind(g.spec.GroupAs, grp)
+			} else if grp.rows == nil {
+				env.Bind(g.spec.GroupAs, value.Bag{})
+			} else {
+				env.Bind(g.spec.GroupAs, grp.rows)
 			}
-			env.Bind(g.spec.GroupAs, bag)
 		}
 		if err := k(env); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"sqlpp/internal/ast"
 	"sqlpp/internal/eval"
 	"sqlpp/internal/faultinject"
 	"sqlpp/internal/value"
@@ -92,21 +93,68 @@ func buildHashTable(ctx *eval.Context, outer *eval.Env, h *hashJoinStep) (*hashT
 }
 
 // runHash produces the bindings of a hash-join step. When h.left is set
-// (JOIN ... ON), the left subtree's bindings probe; otherwise the
-// incoming environment itself probes (comma cross product).
+// (JOIN ... ON), the left subtree's bindings probe — a plain scan through
+// the fused batch loop when the plan is compiled; otherwise the incoming
+// environment itself probes (comma cross product).
 func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoinStep, k emit) error {
-	var ss *stepStats
-	if st.stats != nil {
-		ss = &st.stats[i]
+	if h.left == nil {
+		var buf [64]byte
+		p := st.newProbe(ctx, i, h, k, buf[:0])
+		return p.probe(env)
 	}
-	probe := func(lenv *eval.Env) error {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
-		// The table builds on first probe, so a join whose probe side is
-		// empty never evaluates the build side — as the nested loop
-		// wouldn't.
-		tbl, err := st.tables[i].get(func() (*hashTable, error) {
+	p := st.newProbe(ctx, i, h, k, nil)
+	x, ok := h.left.(*ast.FromExpr)
+	if !ok || !st.phys.compiled {
+		return produceItem(ctx, env, h.left, p.probe)
+	}
+	var node *eval.StatsNode
+	if p.ss != nil {
+		node = p.ss.left
+		defer node.Timer()()
+	}
+	src, err := h.leftC(ctx, env)
+	if err != nil {
+		return err
+	}
+	return st.scanFused(ctx, env, x, src, node, nil, p.probe)
+}
+
+// hashProbe is the state one runHash invocation reuses across its
+// probes: the table once built, the probe-key buffer, and, under the
+// plan's reuseEnv gate, one candidate scope rebound per candidate.
+type hashProbe struct {
+	st  *physState
+	ctx *eval.Context
+	i   int
+	h   *hashJoinStep
+	ss  *stepStats
+	k   emit
+	tbl *hashTable
+	kb  []byte
+	// cand is the reused candidate scope, a child of candOf.
+	cand, candOf *eval.Env
+}
+
+func (st *physState) newProbe(ctx *eval.Context, i int, h *hashJoinStep, k emit, kb []byte) hashProbe {
+	p := hashProbe{st: st, ctx: ctx, i: i, h: h, k: k, kb: kb}
+	if st.stats != nil {
+		p.ss = &st.stats[i]
+	}
+	return p
+}
+
+// probe looks up one probe-side binding's candidates, verifies each, and
+// emits the matches (or the LEFT JOIN padding).
+func (p *hashProbe) probe(lenv *eval.Env) error {
+	ctx, st, h, ss := p.ctx, p.st, p.h, p.ss
+	if err := ctx.Interrupted(); err != nil {
+		return err
+	}
+	// The table builds on first probe, so a join whose probe side is
+	// empty never evaluates the build side — as the nested loop
+	// wouldn't.
+	if p.tbl == nil {
+		tbl, err := st.tables[p.i].get(func() (*hashTable, error) {
 			if ss == nil {
 				return buildHashTable(ctx, st.outer, h)
 			}
@@ -124,69 +172,69 @@ func (st *physState) runHash(ctx *eval.Context, env *eval.Env, i int, h *hashJoi
 		if err != nil {
 			return err
 		}
+		p.tbl = tbl
+	}
+	if ss != nil {
+		ss.node.AddIn(1)
+	}
+	p.kb = p.kb[:0]
+	absent := false
+	for _, pk := range h.probeC {
+		v, err := pk(ctx, lenv)
+		if err != nil {
+			return err
+		}
+		if value.IsAbsent(v) {
+			absent = true
+			break
+		}
+		p.kb = value.AppendKey(p.kb, v)
+	}
+	var bucket []hashRow
+	if !absent {
+		bucket = p.tbl.buckets[string(p.kb)]
+	}
+	matched := false
+	for _, row := range bucket {
 		if ss != nil {
-			ss.node.AddIn(1)
+			ss.candidates.Add(1)
 		}
-		var kb []byte
-		absent := false
-		for _, pk := range h.probeC {
-			v, err := pk(ctx, lenv)
-			if err != nil {
-				return err
-			}
-			if value.IsAbsent(v) {
-				absent = true
-				break
-			}
-			kb = value.AppendKey(kb, v)
+		if st.ord != nil {
+			st.ord[p.i] = row.seq
 		}
-		var bucket []hashRow
-		if !absent {
-			bucket = tbl.buckets[string(kb)]
+		if p.cand == nil || p.candOf != lenv || !st.phys.reuseEnv {
+			p.cand, p.candOf = lenv.Child(), lenv
 		}
-		matched := false
-		for _, row := range bucket {
-			if ss != nil {
-				ss.candidates.Add(1)
-			}
-			if st.ord != nil {
-				st.ord[i] = row.seq
-			}
-			cand := lenv.Child()
-			for j, n := range row.names {
-				cand.Bind(n, row.vals[j])
-			}
-			ok, err := filtersPass(ctx, cand, h.verifyC)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			matched = true
-			if ss != nil {
-				ss.verified.Add(1)
-				ss.node.AddOut(1)
-			}
-			if err := k(cand); err != nil {
-				return err
-			}
+		cand := p.cand
+		for j, n := range row.names {
+			cand.Bind(n, row.vals[j])
 		}
-		if !matched && h.leftJoin {
-			if ss != nil {
-				ss.pads.Add(1)
-				ss.node.AddOut(1)
-			}
-			padded := lenv.Child()
-			for _, n := range h.padVars {
-				padded.Bind(n, value.Null)
-			}
-			return k(padded)
+		ok, err := filtersPass(ctx, cand, h.verifyC)
+		if err != nil {
+			return err
 		}
-		return nil
+		if !ok {
+			continue
+		}
+		matched = true
+		if ss != nil {
+			ss.verified.Add(1)
+			ss.node.AddOut(1)
+		}
+		if err := p.k(cand); err != nil {
+			return err
+		}
 	}
-	if h.left != nil {
-		return produceItem(ctx, env, h.left, probe)
+	if !matched && h.leftJoin {
+		if ss != nil {
+			ss.pads.Add(1)
+			ss.node.AddOut(1)
+		}
+		padded := lenv.Child()
+		for _, n := range h.padVars {
+			padded.Bind(n, value.Null)
+		}
+		return p.k(padded)
 	}
-	return probe(env)
+	return nil
 }

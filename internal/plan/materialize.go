@@ -55,7 +55,7 @@ func runSFWMaterialized(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.V
 
 	// GROUP BY: fold into group bindings.
 	if q.GroupBy != nil {
-		grouper := newGroupState(ctx, outer, q.GroupBy, groupKeys(q.GroupBy, eval.Interpret))
+		grouper := newGroupState(ctx, outer, q.GroupBy, groupKeys(q.GroupBy, eval.Interpret), nil)
 		for _, env := range envs {
 			if err := grouper.add(env); err != nil {
 				return nil, err

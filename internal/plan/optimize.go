@@ -140,6 +140,9 @@ type sfwPhys struct {
 	// clauses.where) and of the block's later clauses.
 	preC    []eval.CompiledExpr
 	clauses clauseExprs
+	// fold, when non-nil, streams the block's GROUP BY aggregates
+	// (fold.go).
+	fold *foldPlan
 }
 
 // fromStep is the physical form of one top-level FROM item.
@@ -194,8 +197,10 @@ type hashJoinStep struct {
 	// estBuild/estOut are the estimated build-side and join-output row
 	// counts (-1 unknown), surfaced as est_rows on EXPLAIN nodes.
 	estBuild, estOut int64
-	// Closures of probeKeys/buildKeys/verify.
+	// Closures of probeKeys/buildKeys/verify, and of left's source when
+	// left is a plain scan.
 	probeC, buildC, verifyC []eval.CompiledExpr
+	leftC                   eval.CompiledExpr
 }
 
 // Optimize annotates every query block under root with a physical plan
@@ -209,6 +214,11 @@ func Optimize(root ast.Expr, o OptOptions) []string {
 		q, ok := e.(*ast.SFW)
 		if !ok {
 			return true
+		}
+		if _, folded := q.Phys.(*foldRead); folded {
+			// An enclosing block's streamed aggregation reads this
+			// aggregate subquery from its groups (fold.go).
+			return false
 		}
 		phys, ns := analyzeSFW(q, o)
 		q.Phys = phys
@@ -489,6 +499,9 @@ func analyzeSFW(q *ast.SFW, o OptOptions) (*sfwPhys, []string) {
 	if parallelNote != "" {
 		add("%s", parallelNote)
 	}
+	if phys.fold != nil {
+		add("stream-agg(%d)", phys.fold.calls)
+	}
 	if phys.compiled {
 		add("compiled")
 	}
@@ -509,6 +522,7 @@ func compileSFW(q *ast.SFW, phys *sfwPhys, o OptOptions) {
 		lower = func(e ast.Expr) eval.CompiledExpr { return eval.Compile(e, co) }
 	}
 	phys.compiled = o.Compile
+	phys.fold = planFold(q, lower)
 	phys.preC = lowerAll(phys.pre, lower)
 	phys.clauses = lowerClauses(q, phys.residual, lower)
 	for i := range phys.steps {
@@ -524,6 +538,9 @@ func compileSFW(q *ast.SFW, phys *sfwPhys, o OptOptions) {
 			h.probeC = lowerAll(h.probeKeys, lower)
 			h.buildC = lowerAll(h.buildKeys, lower)
 			h.verifyC = lowerAll(h.verify, lower)
+			if x, ok := h.left.(*ast.FromExpr); ok {
+				h.leftC = lower(x.Expr)
+			}
 			if h.buildIdx != nil {
 				h.buildIdx.eqC = lower(h.buildIdx.eq)
 			}

@@ -132,7 +132,8 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 		ws[w].sink = sink
 		var consume emit
 		if q.GroupBy != nil {
-			ws[w].grouper = newGroupState(wctx, outer, q.GroupBy, cx.group)
+			ws[w].grouper = newGroupState(wctx, outer, q.GroupBy, cx.group, phys.fold)
+			ws[w].grouper.keep = w > 0
 			consume = ws[w].grouper.add
 		} else {
 			consume = havingChain(wctx, q, cx, sink.project)
@@ -208,7 +209,7 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 	}
 
 	if q.GroupBy != nil {
-		merged := newGroupState(ctx, outer, q.GroupBy, cx.group)
+		merged := newGroupState(ctx, outer, q.GroupBy, cx.group, phys.fold)
 		for i := range ws {
 			if err := merged.merge(ws[i].grouper); err != nil {
 				return nil, true, err
@@ -263,24 +264,37 @@ func runSFWParallel(ctx *eval.Context, outer *eval.Env, q *ast.SFW, phys *sfwPhy
 }
 
 // merge folds another worker's groups into g, preserving g's (chunk
-// order) group-appearance order and appending content in chunk order.
+// order) group-appearance order and appending content, or merging
+// accumulators, in chunk order.
 //
 // governor:charged-at groupState.add (from.go) — every row moved here
 // was charged when its worker grouped it; checkSize re-bounds the
 // merged group sizes.
 func (g *groupState) merge(w *groupState) error {
-	for _, ks := range w.order {
-		if _, ok := g.content[ks]; !ok {
-			g.order = append(g.order, ks)
-			g.keyVals[ks] = w.keyVals[ks]
-			g.content[ks] = w.content[ks]
-		} else {
-			if g.ctx.Compat {
-				mergeCompatKeys(g.keyVals[ks], w.keyVals[ks])
-			}
-			g.content[ks] = append(g.content[ks], w.content[ks]...)
+	for i := range w.groups {
+		wg := &w.groups[i]
+		j, ok := g.index[wg.key]
+		if !ok {
+			g.index[wg.key] = len(g.groups)
+			g.groups = append(g.groups, *wg)
+			continue
 		}
-		if err := checkSize(g.ctx, len(g.content[ks])); err != nil {
+		grp := &g.groups[j]
+		if g.ctx.Compat {
+			mergeCompatKeys(grp.keys, wg.keys)
+		}
+		if grp.n == 0 {
+			// Nothing precedes w's rows (the implicit group before its
+			// first row): take w's state as it is.
+			grp.accs = wg.accs
+		} else {
+			for a := range grp.accs {
+				grp.accs[a].merge(&wg.accs[a])
+			}
+		}
+		grp.n += wg.n
+		grp.rows = append(grp.rows, wg.rows...)
+		if err := checkSize(g.ctx, int(grp.n)); err != nil {
 			return err
 		}
 	}

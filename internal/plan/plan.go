@@ -6,8 +6,9 @@
 //
 // The pipeline streams: each clause is a transformation over a stream of
 // binding environments, realized push-style, so FROM/WHERE/SELECT queries
-// never materialize intermediate collections. GROUP BY and ORDER BY
-// materialize by necessity.
+// never materialize intermediate collections. ORDER BY materializes by
+// necessity, and so does GROUP BY unless the block's aggregates fold as
+// rows arrive (fold.go).
 //
 // Compile queries with package rewrite first; plan assumes SQL++ Core
 // form (SELECT VALUE only, aggregates already lowered to COLL_*).
@@ -424,6 +425,11 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	if q.Select.Value == nil {
 		return nil, fmt.Errorf("plan: query block not in Core form (SELECT sugar not lowered) at %s", q.Pos())
 	}
+	if fr, ok := q.Phys.(*foldRead); ok {
+		if v, folded, err := fr.read(ctx, outer); folded {
+			return v, err
+		}
+	}
 	if ctx.MaterializeClauses {
 		return runSFWMaterialized(ctx, outer, q)
 	}
@@ -494,7 +500,11 @@ func runSFW(ctx *eval.Context, outer *eval.Env, q *ast.SFW) (value.Value, error)
 	var consume emit
 	var grouper *groupState
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy, cx.group)
+		var fold *foldPlan
+		if phys != nil {
+			fold = phys.fold
+		}
+		grouper = newGroupState(ctx, outer, q.GroupBy, cx.group, fold)
 		consume = grouper.add
 	} else {
 		consume = postGroup
@@ -750,7 +760,7 @@ func runPivot(ctx *eval.Context, outer *eval.Env, q *ast.PivotQuery) (value.Valu
 	var consume emit
 	var grouper *groupState
 	if q.GroupBy != nil {
-		grouper = newGroupState(ctx, outer, q.GroupBy, groupKeys(q.GroupBy, eval.Interpret))
+		grouper = newGroupState(ctx, outer, q.GroupBy, groupKeys(q.GroupBy, eval.Interpret), nil)
 		consume = grouper.add
 	} else {
 		consume = post

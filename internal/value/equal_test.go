@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,5 +146,62 @@ func TestKeyNumericNormalization(t *testing.T) {
 	// Very large integers beyond float precision keep exact keys.
 	if Key(Int(1<<53+1)) == Key(Int(1<<53)) {
 		t.Error("distinct large ints must not collide")
+	}
+}
+
+// Property: Equivalent and ContainsEquivalent agree with key equality on
+// heterogeneous values, including the edges the scalar fast paths must
+// hand to the key: 1 vs 1.0, -0.0, NaN, ints at and beyond ±2^53, and
+// nested tuples and bags.
+func TestEquivalentMatchesKey(t *testing.T) {
+	edges := []Value{
+		Int(1), Float(1), Float(1.5), Int(0), Float(0), Float(math.Copysign(0, -1)),
+		Float(math.NaN()), Float(-math.NaN()), Float(math.Inf(1)),
+		Int(1 << 53), Int(1<<53 + 1), Int(-(1 << 53)), Int(-(1<<53 + 1)),
+		Float(1 << 53), Float(-(1 << 53)), Float(1<<53 + 2),
+		Int(math.MaxInt64), Int(math.MinInt64), Float(math.MaxInt64),
+		String(""), String("a"), String("1"), Bool(true), Bool(false), Null, Missing,
+		Bytes{}, Bytes{'a'}, Array{Int(1)}, Array{Float(1)}, Bag{Int(1), String("a")}, Bag{String("a"), Float(1)},
+		NewTuple(Field{"x", Int(1)}, Field{"y", Bag{Int(2)}}),
+		NewTuple(Field{"y", Bag{Float(2)}}, Field{"x", Float(1)}),
+		NewTuple(Field{"x", Int(1)}),
+	}
+	check := func(a, b Value) {
+		t.Helper()
+		want := Key(a) == Key(b)
+		if got := Equivalent(a, b); got != want {
+			t.Errorf("Equivalent(%v, %v) = %v, key equality says %v", a, b, got, want)
+		}
+		if got := ContainsEquivalent([]Value{b}, a); got != want {
+			t.Errorf("ContainsEquivalent([%v], %v) = %v, key equality says %v", b, a, got, want)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 3000; i++ {
+		a, b := genValue(r, 3), genValue(r, 3)
+		check(a, b)
+		check(a, a)
+		if i%3 == 0 {
+			check(a, Clone(a))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		c := make([]Value, r.Intn(6))
+		for j := range c {
+			c[j] = genValue(r, 2)
+		}
+		v := genValue(r, 2)
+		want := false
+		for _, e := range c {
+			want = want || Key(e) == Key(v)
+		}
+		if got := ContainsEquivalent(c, v); got != want {
+			t.Errorf("ContainsEquivalent(%v, %v) = %v, want %v", c, v, got, want)
+		}
 	}
 }

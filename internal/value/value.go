@@ -194,6 +194,9 @@ func (t *Tuple) Set(name string, v Value) {
 	t.fields = append(t.fields, Field{Name: name, Value: v})
 }
 
+// Reset removes every attribute, keeping the storage for reuse.
+func (t *Tuple) Reset() { t.fields = t.fields[:0] }
+
 // Delete removes every attribute named name.
 func (t *Tuple) Delete(name string) {
 	out := t.fields[:0]
