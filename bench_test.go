@@ -11,9 +11,11 @@ package sqlpp_test
 //	BenchmarkUnnestVsJoin*  — first-class-nesting ablation
 //	BenchmarkPivot/Unpivot  — §VI reshaping at scale
 //	BenchmarkDecode*        — claim C5 decode throughput per format
+//	BenchmarkIngestJSON     — claim C5 ingest: JSON decode plus Register
 //	BenchmarkCompile        — parse+rewrite cost in both modes
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"sqlpp"
 	"sqlpp/internal/bench"
 	"sqlpp/internal/compat"
+	"sqlpp/internal/datafmt"
 	"sqlpp/internal/server"
 )
 
@@ -267,6 +270,26 @@ func BenchmarkDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIngestJSON measures the JSON ingest path a client pays for:
+// decoding 10k nested HR rows and registering them, which builds their
+// per-path statistics.
+func BenchmarkIngestJSON(b *testing.B) {
+	hr := bench.HR(bench.HROptions{N: 10000, MissingStyle: true, AbsentTitleRate: 10, Seed: 3})
+	payload, err := datafmt.JSONString(hr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := sqlpp.New(nil)
+		if err := db.RegisterJSON("hr.emp", bytes.NewReader([]byte(payload))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

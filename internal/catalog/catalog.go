@@ -103,8 +103,10 @@ func (c *Catalog) Register(name string, v value.Value) error {
 }
 
 // Append adds elems to the collection bound to name (preserving its
-// array/bag kind) and extends its indexes incrementally instead of
-// rebuilding them. An index whose extension fails is dropped and the
+// array/bag kind) and extends its statistics and indexes instead of
+// rebuilding them. It still copies the merged element slice and every
+// index's bucket map, so an append costs time linear in the collection,
+// not only in elems. An index whose extension fails is dropped and the
 // first error returned; the appended value always takes effect.
 func (c *Catalog) Append(name string, elems []value.Value, gov *eval.Governor) error {
 	if len(elems) == 0 {

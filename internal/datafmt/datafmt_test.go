@@ -54,7 +54,7 @@ func TestDecodeJSONObjects(t *testing.T) {
 }
 
 func TestDecodeJSONErrors(t *testing.T) {
-	for _, src := range []string{"", "{", "[1,]", `{"a":}`, "1 2"} {
+	for _, src := range []string{"", "{", "[1,]", `{"a":}`, "1 2", "[1]]", "{}}"} {
 		if _, err := ParseJSON(src); err == nil {
 			t.Errorf("ParseJSON(%q) should fail", src)
 		}

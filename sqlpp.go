@@ -204,8 +204,10 @@ func (e *Engine) RegisterSION(name, src string) error {
 
 // Append adds the elements of v (or v itself, when it is not a
 // collection) to the collection registered under name, preserving its
-// array/bag kind. Secondary indexes over the collection are extended
-// incrementally — appending k elements costs O(k log n), not a rebuild.
+// array/bag kind. Statistics and secondary indexes over the collection
+// are extended rather than rebuilt, but the append still copies the
+// collection's element slice and each index's bucket map, so appending
+// k elements to n costs O(n + k log n), not O(k log n).
 func (e *Engine) Append(name string, v value.Value) error {
 	elems, ok := value.Elements(v)
 	if !ok {
